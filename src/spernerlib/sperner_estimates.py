@@ -8,20 +8,33 @@ bracket the adjoint quantity.
 
 All functions are exact integer computations. The lower estimates count an
 explicit eligible-block construction (reproduced in witness.py, whose
-output sizes must agree with these sums); the upper estimates come from
+output sizes must agree with them); the upper estimates come from
 permutation-counting arguments:
 
   upper_w(n) = floor(n * C(n-1, floor((n-1)/2)) / (3n - 2 - 2*floor(n/2)))
-  lower_w(n) = sum over active block i < floor(n/3), j 2-element blocks:
-               3^j * C(i, j) * C(n-3i-3, h+j-3i),  h as below
+  lower_w(n) = sum over active block i < m, j 2-element blocks:
+               3^j * C(i, j) * C(n-3i-3, h+j-3i)
+             = [x^K] ((1+x)^n - (1+x)^r (1+3x)^m) / (3+x)
   lower_v(n) = sum over i <= floor(q/2) of C(n-2-2i, q-2i), q = floor((n-1)/2)
   upper_v(n) = floor((4n-4a-2) * C(n-2, floor((n-2)/2)) / (2n-a-1)), a = floor(n/2)
 
-with h = floor((n-3)/2) for n in {3, 5, 7} (a one-lower shift is needed for
-those three sizes) and h = floor((n-1)/2) otherwise.
+with m = floor(n/3), r = n - 3m, K = n - 1 - h, and h = floor((n-3)/2) for
+n in {3, 5, 7} (a one-lower shift is needed for those three sizes) and
+h = floor((n-1)/2) otherwise. The closed form of lower_w follows by
+coefficient extraction: the inner sum over j is
+[x^(n-3-h)] (1+x)^(n-3i-3) (1+3x)^i, and the sum over i < m is geometric
+with ratio (1+3x)/(1+x)^3, where 1 - ratio = x^2 (3+x) / (1+x)^3.
 
-The inner sum of lower_w is evaluated with running one-step binomial
-updates so that graphs into the thousands stay around a second.
+Both lower estimates are single passes of stepped binomials, O(n) steps with
+small multipliers. lower_w steps C(n, k) and 3^k C(m, k) together in k and
+divides by 3+x with q_k = (c_k - q_(k-1)) / 3; the numerator is divisible by
+3+x, so every division by 3 is exact, and a remainder is reported as an
+internal error. lower_v steps its terms with
+C(N-2, K-2) = C(N, K) K(K-1) / (N(N-1)). The direct sums above are kept in
+tests/test_estimates.py as oracles for both.
+
+Each estimate refuses n > ESTIMATE_MAX_N with ResourceLimitError, so a
+huge ground size or adjoint target stops at once instead of running on.
 """
 
 from __future__ import annotations
@@ -30,7 +43,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bigcomb import binom, central_binom, fixed_ratio, left_adjoint
-from .errors import InputError
+from .errors import InputError, ResourceLimitError, SpernerError
+
+# Largest ground size any estimate evaluates; lower_w(2**16) takes about
+# 1.5 s on a 2-core Intel Xeon host.
+ESTIMATE_MAX_N = 1 << 16
+
+
+def _check_size(name: str, n: int) -> None:
+    if n > ESTIMATE_MAX_N:
+        raise ResourceLimitError(
+            f"{name}({n}) is past the estimate cap n <= {ESTIMATE_MAX_N}")
 
 
 def w_bottom_size(n: int) -> int:
@@ -47,29 +70,21 @@ def lower_w(n: int) -> int:
     """Lower estimate for the W pattern; counts the block construction."""
     if n < 1:
         raise InputError(f"lower_w needs n >= 1, got {n}")
-    h = w_bottom_size(n)
-    total = 0
-    for i in range(n // 3):
-        avail = n - 3 * i - 3   # ground elements past the first i+1 blocks
-        pow3 = 1                # 3^j
-        cplace = 1              # C(i, j)
-        ctail = 0               # C(avail, h + j - 3i), stepped in j
-        for j in range(i + 1):
-            low = h - 3 * i + j
-            if low > avail:
-                break
-            if low == 0:
-                ctail = 1
-            elif low > 0:
-                if j == 0:
-                    ctail = binom(avail, low)
-                else:
-                    ctail = ctail * (avail - low + 1) // low
-            if low >= 0:
-                total += pow3 * cplace * ctail
-            pow3 *= 3
-            cplace = cplace * (i - j) // (j + 1)
-    return total
+    _check_size("lower_w", n)
+    m, r = divmod(n, 3)
+    w1, w2 = binom(r, 1), binom(r, 2)  # (1+x)^r = 1 + w1 x + w2 x^2, r <= 2
+    cn = 1                   # C(n, k)
+    t0, t1, t2 = 1, 0, 0     # 3^j C(m, j) for j = k, k-1, k-2
+    q = 0                    # coefficient k of the quotient by 3+x
+    for k in range(n - w_bottom_size(n)):
+        if k:
+            cn = cn * (n - k + 1) // k
+            t0, t1, t2 = t0 * 3 * (m - k + 1) // k, t0, t1
+        q, rem = divmod(cn - t0 - w1 * t1 - w2 * t2 - q, 3)
+        if rem:
+            raise SpernerError(
+                f"lower_w({n}): coefficient {k} is not divisible by 3")
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -77,6 +92,7 @@ def upper_w(n: int) -> int:
     """Upper estimate for the W pattern (permutation-count quotient)."""
     if n < 1:
         raise InputError(f"upper_w needs n >= 1, got {n}")
+    _check_size("upper_w", n)
     return n * central_binom(n - 1) // (3 * n - 2 - 2 * (n // 2))
 
 
@@ -85,8 +101,15 @@ def lower_v(n: int) -> int:
     """Lower estimate for the V pattern; counts the two-block construction."""
     if n < 2:
         raise InputError(f"lower_v needs n >= 2, got {n}")
-    q = (n - 1) // 2
-    return sum(binom(n - 2 - 2 * i, q - 2 * i) for i in range(q // 2 + 1))
+    _check_size("lower_v", n)
+    big, low = n - 2, (n - 1) // 2
+    term = total = binom(big, low)
+    while low >= 2:
+        # C(N-2, K-2) = C(N, K) K(K-1) / (N(N-1))
+        term = term * low * (low - 1) // (big * (big - 1))
+        big, low = big - 2, low - 2
+        total += term
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -94,6 +117,7 @@ def upper_v(n: int) -> int:
     """Upper estimate for the V pattern (permutation-count quotient)."""
     if n < 2:
         raise InputError(f"upper_v needs n >= 2, got {n}")
+    _check_size("upper_v", n)
     a = n // 2
     return (4 * n - 4 * a - 2) * binom(n - 2, (n - 2) // 2) // (2 * n - a - 1)
 
@@ -160,7 +184,9 @@ def asp_bracket(pattern: str, k: int) -> tuple[int, int]:
     if k < 1:
         raise InputError(f"asp_bracket needs k >= 1, got {k}")
     lo = left_adjoint(_mono_upper(key), k)
-    hi = left_adjoint(_mono_lower(key), k)
+    # lower <= upper at every n, so the search for hi can start at lo
+    lower = _mono_lower(key)
+    hi = lo + left_adjoint(lambda d: lower(lo + d), k)
     return lo, hi
 
 

@@ -266,6 +266,14 @@ def test_resource_limit_exit_code(capsys):
     assert code == 3 and err.startswith("error:")
 
 
+def test_estimate_cap_exit_code(capsys):
+    # the V/W estimates stop at n = 2^16 instead of running for minutes
+    for argv in (("sp", "w", "10000000"), ("asp", "w", "1e20000"),
+                 ("gmin", "dnv", "1e20000")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "estimate cap" in err, argv
+
+
 def test_hypothesis_exit_code(capsys):
     code, _, err = run(capsys, "gmin", "v", "1")
     assert code == 4 and err.startswith("error:")

@@ -15,11 +15,12 @@ import math
 
 import pytest
 
-from spernerlib.bigcomb import fixed_ratio, sci_approx
-from spernerlib.errors import InputError
-from spernerlib.sperner_estimates import (EstimatePair, asp_bracket, lower_v,
-                                          lower_w, ratio_report, sp_bracket,
-                                          upper_v, upper_w, w_bottom_size)
+from spernerlib.bigcomb import binom, fixed_ratio, left_adjoint, sci_approx
+from spernerlib.errors import InputError, ResourceLimitError
+from spernerlib.sperner_estimates import (ESTIMATE_MAX_N, EstimatePair,
+                                          asp_bracket, lower_v, lower_w,
+                                          ratio_report, sp_bracket, upper_v,
+                                          upper_w, w_bottom_size)
 
 W_LOWER = [1, 1, 2, 6, 9, 17, 36, 66, 120, 234, 456, 876, 1680, 3265,
            6340, 12330, 23960, 46766, 91224, 178388, 348656, 683130,
@@ -48,6 +49,48 @@ def test_v_table_2_to_15():
         assert upper_v(n) == V_UPPER[i], n
 
 
+# --- the earlier sums, kept as oracles for the single-pass evaluations --------
+
+def stepped_lower_w(n):
+    """lower_w as a double sum over blocks, the inner binomial stepped in j.
+
+    O(n^2) big-integer steps; the library's single pass replaced it.
+    """
+    h = w_bottom_size(n)
+    total = 0
+    for i in range(n // 3):
+        avail = n - 3 * i - 3   # ground elements past the first i+1 blocks
+        pow3 = 1                # 3^j
+        cplace = 1              # C(i, j)
+        ctail = 0               # C(avail, h + j - 3i), stepped in j
+        for j in range(i + 1):
+            low = h - 3 * i + j
+            if low > avail:
+                break
+            if low == 0:
+                ctail = 1
+            elif low > 0:
+                if j == 0:
+                    ctail = binom(avail, low)
+                else:
+                    ctail = ctail * (avail - low + 1) // low
+            if low >= 0:
+                total += pow3 * cplace * ctail
+            pow3 *= 3
+            cplace = cplace * (i - j) // (j + 1)
+    return total
+
+
+def comb_sum_lower_v(n):
+    """lower_v as its defining sum, one math.comb per term."""
+    q = (n - 1) // 2
+    return sum(math.comb(n - 2 - 2 * i, q - 2 * i) for i in range(q // 2 + 1))
+
+
+# n = 1..400 and the sizes of the paper's big tables
+ORACLE_NS = list(range(1, 401)) + [2022, 2023, 2024]
+
+
 def test_lower_w_against_direct_summation():
     # independent evaluation: plain nested sum, no running binomials
     def c(a, b):
@@ -65,6 +108,11 @@ def test_lower_w_against_direct_summation():
         assert lower_w(n) == direct(n), n
 
 
+def test_lower_w_against_the_stepped_sum():
+    for n in ORACLE_NS:
+        assert lower_w(n) == stepped_lower_w(n), n
+
+
 def test_upper_w_against_direct_formula():
     for n in range(3, 60):
         num = n * math.comb(n - 1, (n - 1) // 2)
@@ -72,13 +120,14 @@ def test_upper_w_against_direct_formula():
 
 
 def test_lower_v_against_direct_summation():
-    def direct(n):
-        q = (n - 1) // 2
-        return sum(math.comb(n - 2 - 2 * i, q - 2 * i)
-                   for i in range(q // 2 + 1))
+    for n in ORACLE_NS[1:]:
+        assert lower_v(n) == comb_sum_lower_v(n), n
 
-    for n in range(2, 60):
-        assert lower_v(n) == direct(n), n
+
+@pytest.mark.slow
+def test_lower_estimates_against_the_oracle_sums_at_4096():
+    assert lower_w(4096) == stepped_lower_w(4096)
+    assert lower_v(4096) == comb_sum_lower_v(4096)
 
 
 def test_domain_errors():
@@ -90,6 +139,17 @@ def test_domain_errors():
         lower_v(1)
     with pytest.raises(InputError):
         upper_v(1)
+
+
+def test_estimates_refuse_n_past_the_cap():
+    for estimate in (lower_w, upper_w, lower_v, upper_v):
+        with pytest.raises(ResourceLimitError):
+            estimate(ESTIMATE_MAX_N + 1)
+    with pytest.raises(ResourceLimitError):
+        sp_bracket("w", 10 ** 7)
+    # a target above upper_v(2^16) has its adjoint past the cap
+    with pytest.raises(ResourceLimitError):
+        asp_bracket("v", upper_v(ESTIMATE_MAX_N) + 1)
 
 
 def test_big_n_w_values_to_seven_digits():
@@ -171,3 +231,15 @@ def test_ratio_report():
     assert ratio_report("w", 10) == "1.061"
     assert ratio_report("v", 14, places=9) == "1.032674119"
     assert ratio_report("w", 3) == "1.000"
+
+
+def test_asp_bracket_hi_search_from_lo_matches_plain_adjoint():
+    # asp_bracket starts the hi search at lo; the plain search from 0 must
+    # give the same hi
+    ks = list(range(1, 5000)) + [m * 10 ** e for e in range(3, 701, 9)
+                                 for m in (1, 3, 5, 9)]
+    for kind, lower, start in (("w", lower_w, 1), ("v", lower_v, 2)):
+        def mono(n):
+            return lower(n) if n >= start else 0
+        for k in ks:
+            assert asp_bracket(kind, k)[1] == left_adjoint(mono, k), (kind, k)
